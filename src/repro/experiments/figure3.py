@@ -49,14 +49,18 @@ def main(argv: Optional[list] = None) -> None:
                         choices=[None, "unoptimized", "optimized"])
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--predict", action="store_true",
-                        help="fill grids from a recorded communication DAG "
-                             "(validated; falls back to simulation per app)")
-    parser.add_argument("--replay", action="store_true",
-                        help="price grids from compiled replay programs "
-                             "(vectorized; needs numpy; falls back to the "
-                             "predict path or simulation per app — see "
-                             "docs/replay.md)")
+    backends = parser.add_mutually_exclusive_group()
+    backends.add_argument("--predict", dest="backend",
+                          action="store_const", const="predict",
+                          default="simulate",
+                          help="fill grids from a recorded communication DAG "
+                               "(validated; falls back to simulation per app)")
+    backends.add_argument("--replay", dest="backend",
+                          action="store_const", const="replay",
+                          help="price grids from compiled replay programs "
+                               "(vectorized; needs numpy; falls back to the "
+                               "predict path or simulation per app — see "
+                               "docs/replay.md)")
     parser.add_argument("--workers", type=int, default=None,
                         help="simulate ground-truth grid points in N "
                              "parallel processes")
@@ -66,9 +70,8 @@ def main(argv: Optional[list] = None) -> None:
                              "repro.critpath)")
     args = parser.parse_args(argv)
 
-    backend = "replay" if args.replay else None
-    sweeper = Sweeper(scale=args.scale, seed=args.seed, predict=args.predict,
-                      workers=args.workers, backend=backend)
+    sweeper = Sweeper(scale=args.scale, seed=args.seed, workers=args.workers,
+                      backend=args.backend)
     for app in args.apps:
         variants = [args.variant] if args.variant else ["unoptimized", "optimized"]
         if app == "fft":
@@ -76,14 +79,11 @@ def main(argv: Optional[list] = None) -> None:
         for variant in variants:
             grid = sweeper.speedup_grid(app, variant)
             print(render_panel(grid))
-            if args.predict and grid.validation is not None:
-                print(f"[whatif] {grid.validation.summary()}")
-            if args.replay:
-                print(f"[replay] backend={grid.backend}")
-                if grid.replay is not None:
-                    print(f"[replay] {grid.replay.summary()}")
-                if grid.validation is not None:
-                    print(f"[replay] {grid.validation.summary()}")
+            if sweeper.backend != "simulate":
+                for report in (grid.replay, grid.convergence,
+                               grid.validation):
+                    if report is not None:
+                        print(f"[{grid.backend}] {report.summary()}")
             if args.blame:
                 from ..critpath.blame import blame_grid, render_blame_panel
 

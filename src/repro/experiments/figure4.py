@@ -57,17 +57,22 @@ def main(argv: Optional[list] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="bench", choices=["paper", "bench"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--predict", action="store_true",
-                        help="predict grid points from recorded communication "
-                             "DAGs where validated (see docs/whatif.md)")
-    parser.add_argument("--replay", action="store_true",
-                        help="price grid points from compiled replay programs "
-                             "(vectorized; needs numpy; see docs/replay.md)")
+    backends = parser.add_mutually_exclusive_group()
+    backends.add_argument("--predict", dest="backend",
+                          action="store_const", const="predict",
+                          default="simulate",
+                          help="predict grid points from recorded "
+                               "communication DAGs where validated (see "
+                               "docs/whatif.md)")
+    backends.add_argument("--replay", dest="backend",
+                          action="store_const", const="replay",
+                          help="price grid points from compiled replay "
+                               "programs (vectorized; needs numpy; see "
+                               "docs/replay.md)")
     args = parser.parse_args(argv)
 
-    backend = "replay" if args.replay else None
-    sweeper = Sweeper(scale=args.scale, seed=args.seed, predict=args.predict,
-                      backend=backend)
+    sweeper = Sweeper(scale=args.scale, seed=args.seed,
+                      backend=args.backend)
     bw_labels = [f"{bw:g}" for bw in sorted(grids.BANDWIDTHS_MBYTE_S, reverse=True)]
     _print_panel(
         bandwidth_panel(sweeper), bw_labels,

@@ -5,36 +5,32 @@ Relative speedup follows the paper exactly: ``T_L / T_M * 100%`` where
 number of processors and ``T_M`` the run time on the multi-cluster.
 Baseline runs are cached per (app, variant, scale, ranks, seed).
 
-Three orthogonal accelerators (all off by default):
+``backend=`` picks where a sweep enters the fallback ladder (the one
+description is the "fallback ladder" section of ``docs/replay.md``):
 
-``predict=True`` (equivalently ``backend="predict"``)
+``"simulate"`` (default)
+    Full simulation at every grid point.
+
+``"predict"``
     Record the application's communication DAG once (see
-    :mod:`repro.whatif`), validate predictions against full simulations
-    at the grid corners, then fill the rest of the grid analytically —
-    orders of magnitude faster than simulating every point.  Apps whose
-    recordings are timing-sensitive (TSP's work stealing, Awari's
-    arrival-order MARK protocol) or whose validation error exceeds
-    ``tolerance_pp`` fall back to full simulation automatically.
+    :mod:`repro.whatif`) and price every point with the interpreted
+    evaluator — orders of magnitude faster than simulating every point.
+    Never compiles or probes, so it needs no numpy.
 
-``backend="replay"``
+``"replay"``
     Compile the recorded DAG into a flat vectorized event program (see
-    :mod:`repro.replay`) and price the whole grid in one numpy pass —
-    another order of magnitude over the predict path.  The fallback
-    ladder is automatic, one rung per failure mode: DAGs whose frozen
-    contention orders drift at the grid corners (the probe) try the
-    **vectorized-adaptive** rung first — a fixed-point engine that
-    re-sorts every contended queue per grid point (see
-    :mod:`repro.replay.adaptive`) and keeps the grid batched when its
-    corner convergence check passes (fft); programs whose iteration
-    does not converge (water's deep value feedback) downgrade to the
-    per-point predict evaluator, and individual unconverged points of
-    an otherwise-adaptive grid downgrade the same way, point by point;
-    timing-sensitive recordings, active fault plans, and
-    corner-validation failures fall all the way back to full
-    simulation.  The four grid-corner points of a replayed grid are
-    always the *simulated* ground truth (they were computed for
-    validation anyway), so spot-checking a replayed grid against a full
-    sweep at the corners compares identical floats.
+    :mod:`repro.replay`) and price the whole grid in one numpy pass;
+    order-unstable programs step down to the **vectorized-adaptive**
+    rung (:mod:`repro.replay.adaptive`) and then to the predict rung.
+
+The analytic rungs are rows of one table (``_LADDER``); the first row
+from the entry down whose gate opens is validated against full
+simulation at the four grid corners and prices the grid.  Simulation is
+the shared bottom: timing-sensitive recordings (TSP's work stealing,
+Awari's arrival-order MARK protocol), active fault plans and
+corner-validation failures all land there.  The validation corners
+were simulated anyway, so every analytic grid carries them verbatim and
+agrees with a full sweep at those points down to the last bit.
 
 ``workers=N``
     Run ground-truth grid simulations in a
@@ -51,16 +47,16 @@ Three orthogonal accelerators (all off by default):
     Inject the plan's WAN faults into every *multi-cluster* run (the
     all-Myrinet baseline stays clean — relative speedups then read as
     "degraded WAN vs. ideal LAN", mirroring the paper's T_L / T_M).  A
-    fault-bearing sweep disables all three accelerators for the faulty
-    runs: the what-if predictor falls back (recorded DAGs do not model
-    loss or retransmission), the on-disk cache is bypassed (its key does
+    fault-bearing sweep disables the accelerators for the faulty runs:
+    every backend lands on simulation (recorded DAGs do not model the
+    plan's seeded faults), the on-disk cache is bypassed (its key does
     not include the plan), and grid points run serially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps import default_config, run_app
 from ..network.topology import Topology
@@ -123,29 +119,138 @@ class SpeedupGrid:
         return [self.points[(bw, latency_ms)] for bw in bws]
 
 
-@dataclass
-class _ReplayDecision:
-    """Memoized outcome of the replay fallback ladder for one app.
+#: the paper's 4x8 full-mesh shape, as ``(clusters, cluster_size, wan_shape)``
+PAPER_SHAPE = (grids.NUM_CLUSTERS, grids.CLUSTER_SIZE, "full")
 
-    ``mode`` is the rung that will produce the grid ("replay",
-    "vectorized-adaptive", "predict", or "simulate"); ``backend`` the
-    :class:`~repro.replay.backend.ReplayBackend` (None when faults
-    short-circuited before recording); ``predict_fn`` the per-point
-    evaluator closure — the grid producer on the "predict" rung, the
-    per-point downgrade target for unconverged points on the
-    "vectorized-adaptive" rung; ``report`` the ground-truth
-    :class:`~repro.whatif.validate.ValidationReport`; ``probe`` the
-    frozen-order :class:`~repro.replay.backend.ProbeReport` when one
-    was measured; ``convergence`` the adaptive-rung
-    :class:`~repro.replay.backend.ConvergenceReport` when one was run.
+#: why a fault-bearing sweep never takes an analytic rung
+_FAULTS_REASON = ("fault injection active: recorded DAGs and compiled "
+                  "programs do not model the plan's seeded loss, outages, "
+                  "or retransmission; simulating every grid point")
+
+_Runtimes = Dict[Tuple[float, float], float]
+
+
+@dataclass
+class LadderDecision:
+    """Memoized outcome of the fallback ladder for one app and shape.
+
+    ``rung`` is the analytic row that prices the grid, or None when
+    simulation does; ``backend`` the
+    :class:`~repro.replay.backend.ReplayBackend` (compiled entries
+    only); ``evaluator`` the interpreted
+    :class:`~repro.whatif.evaluate.Evaluator` — the predict rung's
+    pricer and the adaptive rung's per-point downgrade target;
+    ``report`` the ground-truth
+    :class:`~repro.whatif.validate.ValidationReport`; ``probe`` and
+    ``convergence`` the replay and adaptive gates' measurements, when
+    they ran.
     """
 
-    mode: str
-    backend: Optional[object]
-    predict_fn: Optional[object]
-    report: Optional[object]
-    probe: Optional[object]
+    shape: Tuple[int, int, str] = PAPER_SHAPE
+    rung: Optional["_Rung"] = None
+    backend: Optional[object] = None
+    evaluator: Optional[object] = None
+    report: Optional[object] = None
+    probe: Optional[object] = None
     convergence: Optional[object] = None
+
+    @property
+    def mode(self) -> str:
+        """The rung label: "replay", "vectorized-adaptive", "predict",
+        or "simulate"."""
+        return self.rung.name if self.rung is not None else "simulate"
+
+    def topology(self, bw: float, lat: float) -> Topology:
+        return grids.multi_cluster(bw, lat, *self.shape)
+
+    def evaluate(self, bw: float, lat: float) -> float:
+        return self.evaluator.evaluate(self.topology(bw, lat))
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """One analytic rung of the fallback ladder, as data."""
+
+    name: str
+    #: needs the compiled program (and so numpy)
+    compiled: bool
+    #: does the rung open?  Runs and records the rung's own check.
+    gate: Callable[[LadderDecision], bool]
+    #: the ``evaluate(topology)`` object corner validation checks
+    validator: Callable[[LadderDecision], object]
+    #: ``(decision, bandwidths, latencies) -> (runtimes, downgraded)``
+    price_grid: Callable[..., Tuple[_Runtimes, List[Tuple[float, float]]]]
+    #: ``(decision, bw, lat) -> runtime``
+    price_point: Callable[[LadderDecision, float, float], float]
+
+
+def _probe_gate(d: LadderDecision) -> bool:
+    d.probe = d.backend.probe()
+    return d.probe.stable
+
+
+def _program_validator(d: LadderDecision):
+    from ..replay.backend import _ProgramEvaluator
+    return _ProgramEvaluator(d.backend.program)
+
+
+def _replay_grid(d: LadderDecision, bandwidths, latencies):
+    priced = d.backend.price_grid(bandwidths, latencies)
+    return {(bw, lat): float(priced[i][j])
+            for i, lat in enumerate(latencies)
+            for j, bw in enumerate(bandwidths)}, []
+
+
+def _convergence_gate(d: LadderDecision) -> bool:
+    d.convergence = d.backend.convergence_check()
+    return d.convergence.converged
+
+
+def _adaptive_validator(d: LadderDecision):
+    from ..replay.backend import _AdaptiveEvaluator
+    return _AdaptiveEvaluator(d.backend.prepare_adaptive())
+
+
+def _adaptive_grid(d: LadderDecision, bandwidths, latencies):
+    result = d.backend.price_grid_adaptive(bandwidths, latencies)
+    runtimes: _Runtimes = {}
+    downgraded: List[Tuple[float, float]] = []
+    for i, lat in enumerate(latencies):
+        for j, bw in enumerate(bandwidths):
+            if bool(result.converged[i][j]):
+                runtimes[(bw, lat)] = float(result.runtimes[i][j])
+            else:
+                # A point the iteration could not fix is re-priced by the
+                # interpreted evaluator, never trusted at its capped value.
+                downgraded.append((bw, lat))
+                runtimes[(bw, lat)] = d.evaluate(bw, lat)
+    return runtimes, downgraded
+
+
+def _adaptive_point(d: LadderDecision, bw: float, lat: float) -> float:
+    runtime, converged, _iters = \
+        d.backend.prepare_adaptive().price_adaptive(d.topology(bw, lat))
+    return runtime if converged else d.evaluate(bw, lat)
+
+
+def _evaluator_grid(d: LadderDecision, bandwidths, latencies):
+    return {(bw, lat): d.evaluate(bw, lat)
+            for lat in latencies for bw in bandwidths}, []
+
+
+#: The analytic rungs, top (fastest) first.  ``backend=`` names the
+#: entry row; the first row from there whose gate opens is validated,
+#: and a validation miss lands on simulation, the shared bottom.
+_LADDER = (
+    _Rung("replay", True, _probe_gate, _program_validator, _replay_grid,
+          lambda d, bw, lat: d.backend.price(bw, lat)),
+    _Rung("vectorized-adaptive", True, _convergence_gate,
+          _adaptive_validator, _adaptive_grid, _adaptive_point),
+    _Rung("predict", False, lambda d: True, lambda d: d.evaluator,
+          _evaluator_grid, LadderDecision.evaluate),
+)
+_ENTRY = {**{rung.name: i for i, rung in enumerate(_LADDER)},
+          "simulate": len(_LADDER)}
 
 
 def point_key(app: str, variant: str, scale: str, seed: int,
@@ -199,14 +304,11 @@ class Sweeper:
 
     def __init__(self, scale: str = "bench", seed: int = 0,
                  reporter: Optional[RunReporter] = None,
-                 predict: bool = False,
                  workers: Optional[int] = None,
                  cache: Optional[SimCache] = None,
                  tolerance_pp: float = 5.0,
                  faults=None,
-                 backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = "predict" if predict else "simulate"
+                 backend: str = "simulate") -> None:
         if backend not in ("simulate", "predict", "replay"):
             raise ValueError(
                 f"unknown sweep backend {backend!r}: expected 'simulate', "
@@ -215,17 +317,13 @@ class Sweeper:
         self.seed = seed
         self.reporter = reporter
         self.backend = backend
-        self.predict = backend == "predict"
         self.workers = workers
         self.cache = cache
         self.tolerance_pp = tolerance_pp
         self.faults = faults
         self._baseline_cache: Dict[Tuple[str, str, int], float] = {}
-        #: (app, variant, clusters, cluster_size, wan_shape) ->
-        #: (predictor-or-None, ValidationReport-or-None)
-        self._predictors: Dict[tuple, tuple] = {}
-        #: same key -> memoized :class:`_ReplayDecision`
-        self._replays: Dict[tuple, _ReplayDecision] = {}
+        #: (app, variant, clusters, cluster_size, wan_shape) -> decision
+        self._decisions: Dict[tuple, LadderDecision] = {}
 
     @property
     def _active_faults(self):
@@ -274,187 +372,93 @@ class Sweeper:
         return self._baseline_cache[key]
 
     # ------------------------------------------------------------------
-    # What-if prediction machinery
+    # The fallback ladder
     # ------------------------------------------------------------------
-    def _predictor(self, app: str, variant: str,
-                   clusters: int = grids.NUM_CLUSTERS,
-                   cluster_size: int = grids.CLUSTER_SIZE,
-                   wan_shape: str = "full"):
-        """Record-once predictor for (app, variant), or None on fallback.
+    def decide(self, app: str, variant: str,
+               shape: Tuple[int, int, str] = PAPER_SHAPE) -> LadderDecision:
+        """The ladder's decision for (app, variant, shape), memoized.
 
-        Returns ``(predict_fn, report)``: ``predict_fn(bw, lat) ->
-        runtime`` backed by a validated :class:`~repro.whatif.evaluate.
-        Evaluator`, or ``None`` when the app must be fully simulated
-        (timing-sensitive recording or validation error above
-        ``tolerance_pp``).  The decision is memoized per shape.
+        Raises :class:`~repro.replay.ReplayUnavailable` when a compiled
+        rung is the entry and numpy is missing — asking for the
+        vectorized backend without its one dependency is a setup error,
+        not a fallback condition.
         """
+        shape = tuple(shape)
+        key = (app, variant) + shape
+        if key not in self._decisions:
+            decision = self._walk(app, variant, shape)
+            self._decisions[key] = decision
+            if self.backend == "replay":
+                self._emit_replay_record(app, variant, decision)
+        return self._decisions[key]
+
+    def _walk(self, app: str, variant: str,
+              shape: Tuple[int, int, str]) -> LadderDecision:
         from ..whatif.evaluate import Evaluator
-        from ..whatif.record import record_app
         from ..whatif.validate import ValidationReport, corner_points, validate
 
-        memo_key = (app, variant, clusters, cluster_size, wan_shape)
-        if memo_key in self._predictors:
-            return self._predictors[memo_key]
+        decision = LadderDecision(shape=shape)
 
-        if self._active_faults is not None:
-            report = ValidationReport(
+        def fall_back(reason: str) -> LadderDecision:
+            decision.report = ValidationReport(
                 app=app, variant=variant, tolerance_pp=self.tolerance_pp,
-                fallback=True,
-                reason="fault injection active: recorded DAGs do not model "
-                       "loss, outages, or retransmission; simulating every "
-                       "grid point")
-            self._predictors[memo_key] = (None, report)
-            return self._predictors[memo_key]
-
-        def topology_for(bw: float, lat: float) -> Topology:
-            return grids.multi_cluster(bw, lat, clusters, cluster_size,
-                                       wan_shape)
-
-        recording = record_app(app, variant, scale=self.scale, seed=self.seed)
-        if recording.timing_sensitive:
-            report = validate(recording, 1.0, lambda bw, lat: 1.0, [],
-                              tolerance_pp=self.tolerance_pp)
-            self._predictors[memo_key] = (None, report)
-            return self._predictors[memo_key]
-
-        evaluator = Evaluator(recording.dag)
-        baseline = self.baseline_runtime(app, variant,
-                                         clusters * cluster_size)
-        report = validate(
-            recording,
-            baseline_runtime=baseline,
-            simulate=lambda bw, lat: self._sim_runtime(
-                app, variant, topology_for(bw, lat)),
-            points=corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS),
-            tolerance_pp=self.tolerance_pp,
-            evaluator=evaluator,
-            topology_for=topology_for,
-        )
-        if report.fallback:
-            self._predictors[memo_key] = (None, report)
-        else:
-            self._predictors[memo_key] = (
-                lambda bw, lat: evaluator.evaluate(topology_for(bw, lat)),
-                report)
-        return self._predictors[memo_key]
-
-    # ------------------------------------------------------------------
-    # Replay machinery (vectorized compiled-DAG pricing)
-    # ------------------------------------------------------------------
-    def _replay(self, app: str, variant: str,
-                clusters: int = grids.NUM_CLUSTERS,
-                cluster_size: int = grids.CLUSTER_SIZE,
-                wan_shape: str = "full") -> _ReplayDecision:
-        """Walk the replay fallback ladder once per (app, variant, shape).
-
-        Raises :class:`~repro.replay.ReplayUnavailable` when numpy is
-        missing — asking for the vectorized backend without its one
-        dependency is a setup error, not a fallback condition.
-        """
-        from ..replay.backend import (ReplayBackend, _AdaptiveEvaluator,
-                                      _ProgramEvaluator)
-        from ..replay.compile import CompileError
-        from ..whatif.validate import ValidationReport, corner_points, validate
-
-        memo_key = (app, variant, clusters, cluster_size, wan_shape)
-        if memo_key in self._replays:
-            return self._replays[memo_key]
-
-        def decide(decision: _ReplayDecision) -> _ReplayDecision:
-            self._replays[memo_key] = decision
-            self._emit_replay_record(app, variant, decision)
+                fallback=True, reason=reason)
             return decision
 
+        rungs = _LADDER[_ENTRY[self.backend]:]
+        if not rungs:
+            return decision
         if self._active_faults is not None:
-            report = ValidationReport(
-                app=app, variant=variant, tolerance_pp=self.tolerance_pp,
-                fallback=True,
-                reason="fault injection active: compiled replay programs "
-                       "model loss only as an expected-value delay, not the "
-                       "plan's seeded faults; simulating every grid point")
-            return decide(_ReplayDecision("simulate", None, None, report, None))
+            return fall_back(_FAULTS_REASON)
 
-        def topology_for(bw: float, lat: float) -> Topology:
-            return grids.multi_cluster(bw, lat, clusters, cluster_size,
-                                       wan_shape)
+        if rungs[0].compiled:
+            from ..replay.backend import ReplayBackend
+            from ..replay.compile import CompileError
 
-        backend = ReplayBackend.for_app(app, variant, scale=self.scale,
-                                        seed=self.seed, cache=self.cache)
-        recording = backend.recording
+            decision.backend = ReplayBackend.for_app(
+                app, variant, scale=self.scale, seed=self.seed,
+                cache=self.cache)
+            recording = decision.backend.recording
+        else:
+            from ..whatif.record import record_app
+
+            recording = record_app(app, variant, scale=self.scale,
+                                   seed=self.seed)
         if recording.timing_sensitive:
-            report = validate(recording, 1.0, lambda bw, lat: 1.0, [],
-                              tolerance_pp=self.tolerance_pp)
-            return decide(
-                _ReplayDecision("simulate", backend, None, report, None))
+            decision.report = validate(recording, 1.0, lambda bw, lat: 1.0,
+                                       [], tolerance_pp=self.tolerance_pp)
+            return decision
+        if decision.backend is not None:
+            try:
+                decision.backend.prepare()
+            except CompileError as err:
+                return fall_back(f"replay compilation failed: {err}")
+            decision.evaluator = decision.backend.evaluator
+        else:
+            decision.evaluator = Evaluator(recording.dag)
 
-        try:
-            backend.prepare()
-        except CompileError as err:
-            report = ValidationReport(
-                app=app, variant=variant, tolerance_pp=self.tolerance_pp,
-                fallback=True,
-                reason=f"replay compilation failed: {err}")
-            return decide(
-                _ReplayDecision("simulate", backend, None, report, None))
-
-        probe = backend.probe()
+        # The predict row's gate always opens, so a rung is found.
+        rung = next(r for r in rungs if r.gate(decision))
+        clusters, cluster_size, _wan_shape = shape
         baseline = self.baseline_runtime(app, variant,
                                          clusters * cluster_size)
-        corners = corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS)
-
-        def sim(bw: float, lat: float) -> float:
-            return self._sim_runtime(app, variant, topology_for(bw, lat))
-
-        if probe.stable:
-            # Ground-truth corner validation of the *program* itself,
-            # sharing validate() verbatim with the predict path.
-            report = validate(
-                recording, baseline_runtime=baseline, simulate=sim,
-                points=corners, tolerance_pp=self.tolerance_pp,
-                evaluator=_ProgramEvaluator(backend.program),
-                topology_for=topology_for)
-            mode = "simulate" if report.fallback else "replay"
-            return decide(_ReplayDecision(mode, backend, None, report, probe))
-
-        # Order-unstable program: try the vectorized-adaptive rung
-        # before giving up the batched grid — the fixed-point engine
-        # re-sorts every contended queue per grid point and proves
-        # itself at the corners first.
-        evaluator = backend.evaluator
-        predict_fn = lambda bw, lat: evaluator.evaluate(topology_for(bw, lat))
-        convergence = backend.convergence_check()
-        if convergence.converged:
-            # Ground-truth corner validation of the *adaptive engine*
-            # itself, sharing validate() verbatim with the other rungs.
-            report = validate(
-                recording, baseline_runtime=baseline, simulate=sim,
-                points=corners, tolerance_pp=self.tolerance_pp,
-                evaluator=_AdaptiveEvaluator(backend.prepare_adaptive()),
-                topology_for=topology_for)
-            # A converged engine that fails ground truth means the
-            # recording itself is wrong at the corners — the evaluator
-            # prices the same schedule, so the predict rung would fail
-            # identically; go straight to simulation.
-            mode = "simulate" if report.fallback else "vectorized-adaptive"
-            return decide(_ReplayDecision(
-                mode, backend, None if report.fallback else predict_fn,
-                report, probe, convergence))
-
-        # Unconverged at the corners (deep value feedback like water's
-        # daemon scheduling): downgrade to the interpreted per-point
-        # evaluator, which re-resolves contention at every grid point.
-        report = validate(
-            recording, baseline_runtime=baseline, simulate=sim,
-            points=corners, tolerance_pp=self.tolerance_pp,
-            evaluator=evaluator, topology_for=topology_for)
-        if report.fallback:
-            return decide(_ReplayDecision("simulate", backend, None, report,
-                                          probe, convergence))
-        return decide(_ReplayDecision("predict", backend, predict_fn,
-                                      report, probe, convergence))
+        # Ground-truth corner validation of the rung's own pricer.  A
+        # miss lands on simulation, not the next rung: every rung prices
+        # the same recording, so the recording is what is wrong there.
+        decision.report = validate(
+            recording, baseline_runtime=baseline,
+            simulate=lambda bw, lat: self._sim_runtime(
+                app, variant, decision.topology(bw, lat)),
+            points=corner_points(grids.BANDWIDTHS_MBYTE_S, grids.LATENCIES_MS),
+            tolerance_pp=self.tolerance_pp,
+            evaluator=rung.validator(decision),
+            topology_for=decision.topology)
+        if not decision.report.fallback:
+            decision.rung = rung
+        return decision
 
     def _emit_replay_record(self, app: str, variant: str,
-                            decision: _ReplayDecision) -> None:
+                            decision: LadderDecision) -> None:
         if self.reporter is None:
             return
         from ..replay.backend import replay_record
@@ -479,170 +483,106 @@ class Sweeper:
             meta={"harness": "sweeper"}))
 
     # ------------------------------------------------------------------
-    def speedup_at(self, app: str, variant: str, bandwidth: float,
-                   latency_ms: float, clusters: int = grids.NUM_CLUSTERS,
-                   cluster_size: int = grids.CLUSTER_SIZE,
-                   wan_shape: str = "full") -> GridPoint:
-        base = self.baseline_runtime(app, variant, clusters * cluster_size)
-        runtime = None
-        if self.backend == "replay":
-            decision = self._replay(app, variant, clusters, cluster_size,
-                                    wan_shape)
-            if decision.mode == "replay":
-                runtime = decision.backend.price(bandwidth, latency_ms)
-            elif decision.mode == "vectorized-adaptive":
-                topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
-                                           cluster_size, wan_shape)
-                rt, converged, _iters = \
-                    decision.backend.prepare_adaptive().price_adaptive(topo)
-                # An unconverged point downgrades to the interpreted
-                # evaluator — never a silently-wrong adaptive price.
-                runtime = rt if converged else \
-                    decision.predict_fn(bandwidth, latency_ms)
-            elif decision.mode == "predict":
-                runtime = decision.predict_fn(bandwidth, latency_ms)
-        elif self.predict:
-            predict_fn, _report = self._predictor(app, variant, clusters,
-                                                  cluster_size, wan_shape)
-            if predict_fn is not None:
-                runtime = predict_fn(bandwidth, latency_ms)
-        if runtime is None:
-            topo = grids.multi_cluster(bandwidth, latency_ms, clusters,
-                                       cluster_size, wan_shape)
-            runtime = self._sim_runtime(app, variant, topo,
-                                        faults=self._active_faults)
-        return GridPoint(
-            bandwidth_mbyte_s=bandwidth,
-            latency_ms=latency_ms,
-            runtime=runtime,
-            relative_speedup_pct=100.0 * base / runtime,
-        )
-
     def _simulate_grid(self, app: str, variant: str,
-                       points: Sequence[Tuple[float, float]]
-                       ) -> Dict[Tuple[float, float], float]:
+                       points: Sequence[Tuple[float, float]],
+                       shape: Tuple[int, int, str] = PAPER_SHAPE
+                       ) -> _Runtimes:
         """Ground-truth runtimes for ``points``, serial or pooled.
 
         The parallel path checks the on-disk cache up front, fans the
         misses out to a process pool, and merges in the serial iteration
         order — the resulting dict is identical to a serial sweep's.
         Fault-bearing sweeps always run serially (the pool payload does
-        not carry the plan) and never touch the cache.
+        not carry the plan) and never touch the cache; so do single
+        points, which a pool would only slow down.
         """
         faults = self._active_faults
         runtimes: Dict[Tuple[float, float], Optional[float]] = {}
-        if self.workers and self.workers > 1 and faults is None:
+        if self.workers and self.workers > 1 and faults is None and \
+                len(points) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             misses: List[Tuple[float, float]] = []
             for bw, lat in points:
                 hit = None
                 if self.cache is not None:
-                    entry = self.cache.lookup(
-                        point_key(app, variant, self.scale, self.seed, bw, lat))
+                    entry = self.cache.lookup(point_key(
+                        app, variant, self.scale, self.seed, bw, lat, *shape))
                     if entry is not None and "runtime" in entry:
                         hit = float(entry["runtime"])
                 runtimes[(bw, lat)] = hit
                 if hit is None:
                     misses.append((bw, lat))
             if misses:
-                payloads = [(app, variant, self.scale, self.seed, bw, lat,
-                             grids.NUM_CLUSTERS, grids.CLUSTER_SIZE, "full")
-                            for bw, lat in misses]
+                payloads = [(app, variant, self.scale, self.seed, bw, lat)
+                            + tuple(shape) for bw, lat in misses]
                 with ProcessPoolExecutor(max_workers=self.workers) as pool:
                     for bw, lat, runtime in pool.map(_simulate_point, payloads):
                         runtimes[(bw, lat)] = runtime
                         if self.cache is not None:
                             self.cache.put(app, variant, self.scale, self.seed,
-                                           grids.multi_cluster(bw, lat),
+                                           grids.multi_cluster(bw, lat, *shape),
                                            runtime)
         else:
             for bw, lat in points:
                 runtimes[(bw, lat)] = self._sim_runtime(
-                    app, variant, grids.multi_cluster(bw, lat), faults=faults)
+                    app, variant, grids.multi_cluster(bw, lat, *shape),
+                    faults=faults)
         return runtimes
 
-    def speedup_grid(self, app: str, variant: str,
-                     bandwidths=grids.BANDWIDTHS_MBYTE_S,
-                     latencies=grids.LATENCIES_MS) -> SpeedupGrid:
-        """The full Figure-3 panel for one application variant."""
-        base = self.baseline_runtime(app, variant)
-        grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base)
-
-        if self.backend == "replay":
-            decision = self._replay(app, variant)
-            grid.validation = decision.report
-            grid.backend = decision.mode
-            grid.replay = decision.probe
-            grid.convergence = decision.convergence
-            if decision.mode in ("replay", "vectorized-adaptive", "predict"):
-                grid.predicted = True
-                if decision.mode == "replay":
-                    priced = decision.backend.price_grid(bandwidths, latencies)
-                    runtime_at = lambda i, j: float(priced[i][j])
-                elif decision.mode == "vectorized-adaptive":
-                    result = decision.backend.price_grid_adaptive(
-                        bandwidths, latencies)
-
-                    def runtime_at(i, j, _r=result):
-                        # Per-point downgrade: a point the iteration
-                        # could not fix is re-priced by the interpreted
-                        # evaluator instead of trusting a capped value.
-                        if bool(_r.converged[i][j]):
-                            return float(_r.runtimes[i][j])
-                        grid.downgraded_points.append(
-                            (bandwidths[j], latencies[i]))
-                        return decision.predict_fn(bandwidths[j],
-                                                   latencies[i])
-                else:
-                    runtime_at = lambda i, j: decision.predict_fn(
-                        bandwidths[j], latencies[i])
-                for i, lat in enumerate(latencies):
-                    for j, bw in enumerate(bandwidths):
-                        runtime = runtime_at(i, j)
-                        grid.points[(bw, lat)] = GridPoint(
-                            bandwidth_mbyte_s=bw, latency_ms=lat,
-                            runtime=runtime,
-                            relative_speedup_pct=100.0 * base / runtime)
-                # The validation corners were simulated anyway — splice
-                # the ground truth in so analytic grids agree with full
-                # sweeps bit-for-bit at the spot-check points.
-                for vp in decision.report.points:
-                    key = (vp.bandwidth_mbyte_s, vp.latency_ms)
-                    if key in grid.points:
-                        grid.points[key] = GridPoint(
-                            bandwidth_mbyte_s=vp.bandwidth_mbyte_s,
-                            latency_ms=vp.latency_ms,
-                            runtime=vp.simulated_runtime,
-                            relative_speedup_pct=(
-                                100.0 * base / vp.simulated_runtime))
-                return grid
-            # fall through: full simulation for timing-dependent apps
-
-        elif self.predict:
-            predict_fn, report = self._predictor(app, variant)
-            grid.validation = report
-            if predict_fn is not None:
-                grid.predicted = True
-                grid.backend = "predict"
-                for lat in latencies:
-                    for bw in bandwidths:
-                        runtime = predict_fn(bw, lat)
-                        grid.points[(bw, lat)] = GridPoint(
-                            bandwidth_mbyte_s=bw, latency_ms=lat,
-                            runtime=runtime,
-                            relative_speedup_pct=100.0 * base / runtime)
-                return grid
-            # fall through: ground truth for timing-dependent apps
-
+    def _panel(self, app: str, variant: str, bandwidths: Sequence[float],
+               latencies: Sequence[float],
+               shape: Tuple[int, int, str] = PAPER_SHAPE,
+               point: bool = False) -> SpeedupGrid:
+        """The one pricing path behind :meth:`speedup_grid` and
+        :meth:`speedup_at` (``point=True``: the rung's point pricer)."""
+        clusters, cluster_size, _wan_shape = shape
+        base = self.baseline_runtime(app, variant, clusters * cluster_size)
+        decision = self.decide(app, variant, shape)
+        grid = SpeedupGrid(app=app, variant=variant, baseline_runtime=base,
+                           predicted=decision.rung is not None,
+                           validation=decision.report, backend=decision.mode,
+                           replay=decision.probe,
+                           convergence=decision.convergence)
         ordered = [(bw, lat) for lat in latencies for bw in bandwidths]
-        runtimes = self._simulate_grid(app, variant, ordered)
+        rung = decision.rung
+        if rung is None:
+            runtimes = self._simulate_grid(app, variant, ordered, shape)
+        elif point:
+            runtimes = {(bw, lat): rung.price_point(decision, bw, lat)
+                        for bw, lat in ordered}
+        else:
+            runtimes, grid.downgraded_points = rung.price_grid(
+                decision, bandwidths, latencies)
+        if rung is not None:
+            # The validation corners were simulated anyway — splice the
+            # ground truth in so analytic grids agree with full sweeps
+            # bit-for-bit at the spot-check points.
+            for vp in decision.report.points:
+                key = (vp.bandwidth_mbyte_s, vp.latency_ms)
+                if key in runtimes:
+                    runtimes[key] = vp.simulated_runtime
         for bw, lat in ordered:
             runtime = runtimes[(bw, lat)]
             grid.points[(bw, lat)] = GridPoint(
                 bandwidth_mbyte_s=bw, latency_ms=lat, runtime=runtime,
                 relative_speedup_pct=100.0 * base / runtime)
         return grid
+
+    def speedup_at(self, app: str, variant: str, bandwidth: float,
+                   latency_ms: float, clusters: int = grids.NUM_CLUSTERS,
+                   cluster_size: int = grids.CLUSTER_SIZE,
+                   wan_shape: str = "full") -> GridPoint:
+        """One grid point, on any cluster shape."""
+        grid = self._panel(app, variant, [bandwidth], [latency_ms],
+                           (clusters, cluster_size, wan_shape), point=True)
+        return grid.points[(bandwidth, latency_ms)]
+
+    def speedup_grid(self, app: str, variant: str,
+                     bandwidths=grids.BANDWIDTHS_MBYTE_S,
+                     latencies=grids.LATENCIES_MS) -> SpeedupGrid:
+        """The full Figure-3 panel for one application variant."""
+        return self._panel(app, variant, bandwidths, latencies)
 
     # ------------------------------------------------------------------
     def communication_time_pct(self, app: str, variant: str, bandwidth: float,

@@ -48,8 +48,8 @@ def require_numpy():
         raise ReplayUnavailable(
             "the replay backend needs numpy (the vectorized grid sweep is "
             "built on it); install it with `pip install numpy` or use the "
-            "stdlib-only paths: Sweeper(predict=True) / --predict, or full "
-            "simulation") from exc
+            'stdlib-only paths: Sweeper(backend="predict") / --predict, or '
+            "full simulation") from exc
     return numpy
 
 

@@ -33,8 +33,10 @@
 The fallback ladder, each rung guarded by the next: vectorized replay →
 (order-unstable) → vectorized-adaptive → (unconverged at the corners) →
 predict path → (timing-sensitive, faults, corner validation failure) →
-full simulation.  :class:`~repro.experiments.runner.Sweeper` walks the
-ladder automatically for ``backend="replay"``.
+full simulation.  The ladder itself lives in
+:class:`~repro.experiments.runner.Sweeper` (its rungs are data rows over
+this class's probe, convergence check and pricers); the "fallback
+ladder" section of ``docs/replay.md`` describes it.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from ..experiments.runner import GridPoint, Sweeper
 def _loss_panel(sweeper: Sweeper, app: str, variant: str,
                 loss_rate: float) -> Optional[str]:
     """The Figure-3 panel re-priced under a uniform WAN loss rate."""
-    decision = sweeper._replay(app, variant)
+    decision = sweeper.decide(app, variant)
     if decision.mode not in ("replay", "vectorized-adaptive"):
         print(f"[replay] --loss needs a vectorized program; {app}/{variant} "
               f"runs in {decision.mode!r} mode — skipping the loss panel")
@@ -111,7 +111,7 @@ def main(argv: Optional[list] = None) -> int:
     if grid.validation is not None:
         print(f"[replay] validation: {grid.validation.summary()}")
 
-    decision = sweeper._replay(args.app, variant)
+    decision = sweeper.decide(args.app, variant)
     backend = decision.backend
     if backend is not None and backend.program is not None:
         stats = backend.program.stats()

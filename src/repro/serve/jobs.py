@@ -16,7 +16,8 @@ Kinds:
     :class:`~repro.experiments.runner.Sweeper` computes them.
 ``whatif``
     The record-once analytic fast path (:mod:`repro.whatif`): corner
-    validation + evaluated grid, one worker task for the whole grid.
+    validation + evaluated grid, one worker task for the whole grid
+    (the Sweeper's fallback ladder entered at ``backend="predict"``).
 ``replay``
     The compiled vectorized fast path (:mod:`repro.replay`): the
     recorded DAG is compiled to a flat event program (content-addressed

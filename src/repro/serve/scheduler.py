@@ -41,6 +41,10 @@ from . import worker
 from .jobs import (CANCELLED, DONE, FAILED, PARTIAL, QUEUED, RUNNING,
                    AdmissionError, Job, JobSpec, UnknownJob)
 
+#: grid-at-once job kinds -> the Sweeper backend their pool task enters
+#: the fallback ladder at
+_GRID_BACKENDS = {"whatif": "predict", "replay": "replay"}
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -319,7 +323,7 @@ class Scheduler:
     def _dispatch(self, payload: Dict[str, Any], job: Job,
                   fn=worker.run_point) -> asyncio.Future:
         payload = dict(payload)
-        if payload.get("kind") not in ("whatif-grid", "replay-grid"):
+        if fn is worker.run_point:
             payload["max_events"] = self.policy.effective_max_events(job.spec)
         job.dispatched += 1
         self.registry.counter("serve.points.dispatched").inc()
@@ -343,8 +347,8 @@ class Scheduler:
         job.state = RUNNING
         cancel_event = self._cancel_events[job.id]
         try:
-            if job.spec.kind in ("whatif", "replay"):
-                await self._run_whatif(job)
+            if job.spec.kind in _GRID_BACKENDS:
+                await self._run_grid(job)
             else:
                 await self._run_pointwise(job)
         except asyncio.CancelledError:
@@ -445,11 +449,13 @@ class Scheduler:
         return result["runtime"]
 
     # -- whatif / replay -------------------------------------------------
-    async def _run_whatif(self, job: Job) -> None:
+    async def _run_grid(self, job: Job) -> None:
         """Analytic fast paths: one pool task for the whole grid.
 
-        Covers both grid-at-once kinds — ``whatif`` (interpreted
-        evaluator) and ``replay`` (compiled vectorized program).  If
+        Covers both grid-at-once kinds, through one worker function
+        entered at the kind's backend (``_GRID_BACKENDS``): ``whatif``
+        (interpreted evaluator) and ``replay`` (compiled vectorized
+        program), each with the Sweeper's fallback ladder below.  If
         every point *and* the baseline are already cached the task is
         skipped entirely; otherwise its points are stored under their
         content keys so the next identical job is a pure cache job.  A
@@ -480,15 +486,12 @@ class Scheduler:
                     baseline=baseline))
             return
 
-        grid_kind = "replay-grid" if spec.kind == "replay" else "whatif-grid"
-        grid_fn = worker.run_replay_grid if spec.kind == "replay" \
-            else worker.run_whatif_grid
-        payload = {"kind": grid_kind, "app": spec.app,
+        payload = {"backend": _GRID_BACKENDS[spec.kind], "app": spec.app,
                    "variant": spec.variant, "scale": spec.scale,
                    "seed": spec.seed, "bandwidths": list(spec.bandwidths),
                    "latencies": list(spec.latencies),
                    "cache_root": self.cache.root}
-        future = self._dispatch(payload, job, fn=grid_fn)
+        future = self._dispatch(payload, job, fn=worker.run_grid)
         done = await self._await_or_cancel(job, {future})
         if not done:
             future.cancel()
@@ -498,8 +501,7 @@ class Scheduler:
             # replay.* metrics: one count per fallback-ladder rung, so a
             # dashboard shows how much traffic actually vectorizes.
             self.registry.counter("replay.jobs").inc()
-            self.registry.counter(
-                f"replay.mode.{result.get('mode', 'unknown')}").inc()
+            self.registry.counter(f"replay.mode.{result['mode']}").inc()
         baseline = result["baseline"]
         self.cache.store(spec.cache_key(None, None),
                          self._stored_record(spec, None, None,
@@ -509,16 +511,14 @@ class Scheduler:
                   "cached": False}
         if "fallback_reason" in result:
             record["fallback_reason"] = result["fallback_reason"]
-        record["predicted"] = result["predicted"]
-        for extra in ("mode", "probe", "convergence", "downgraded_points"):
+        point_meta = {"predicted": result["predicted"], "mode": result["mode"]}
+        record.update(point_meta)
+        for extra in ("probe", "convergence", "downgraded_points"):
             if extra in result:
                 record[extra] = result[extra]
         self._emit(job, record)
         by_point = {(p["bandwidth_mbyte_s"], p["latency_ms"]): p
                     for p in result["points"]}
-        point_meta: Dict[str, Any] = {"predicted": result["predicted"]}
-        if "mode" in result:
-            point_meta["mode"] = result["mode"]
         for bw, lat in points:
             point = by_point[(bw, lat)]
             stored = self._stored_record(

@@ -102,14 +102,17 @@ def _run_profile(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_whatif_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The record-once fast path for a whole grid, as one pool task.
+def run_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """An analytic fast path for a whole grid, as one pool task.
 
-    Reuses :class:`~repro.experiments.runner.Sweeper` with
-    ``predict=True`` so corner validation, fallback policy, and baseline
-    handling are byte-for-byte the CLI's.  ``cache_root`` (when set)
-    points at the server's cache so the corner ground-truth simulations
-    dedup with everything else.
+    Reuses :class:`~repro.experiments.runner.Sweeper` with the payload's
+    ``backend`` (``"predict"`` for ``whatif`` jobs, ``"replay"`` for
+    ``replay`` jobs), so the fallback ladder, corner validation, and
+    baseline handling are byte-for-byte the CLI's.  ``cache_root`` (when
+    set) points at the server's cache, so the corner ground-truth
+    simulations dedup with everything else and a compiled program is
+    content-addressed there — the next replay job for the same
+    recording skips recording *and* compilation.
     """
     from ..experiments.cache import SimCache
     from ..experiments.runner import Sweeper
@@ -117,46 +120,7 @@ def run_whatif_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
     cache = SimCache(payload["cache_root"]) if payload.get("cache_root") \
         else None
     sweeper = Sweeper(scale=payload["scale"], seed=payload["seed"],
-                      predict=True, cache=cache)
-    grid = sweeper.speedup_grid(payload["app"], payload["variant"],
-                                bandwidths=payload["bandwidths"],
-                                latencies=payload["latencies"])
-    points: List[Dict[str, Any]] = []
-    for (bw, lat), point in grid.points.items():
-        points.append({
-            "bandwidth_mbyte_s": bw,
-            "latency_ms": lat,
-            "runtime": point.runtime,
-        })
-    out: Dict[str, Any] = {
-        "baseline": grid.baseline_runtime,
-        "predicted": grid.predicted,
-        "points": points,
-    }
-    report = grid.validation
-    if report is not None and getattr(report, "fallback", False):
-        out["fallback_reason"] = getattr(report, "reason", "") or \
-            "validation error above tolerance"
-    return out
-
-
-def run_replay_grid(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The compiled vectorized fast path for a whole grid, one pool task.
-
-    Reuses :class:`~repro.experiments.runner.Sweeper` with
-    ``backend="replay"`` so the probe, the downgrade ladder, corner
-    validation, and baseline handling are byte-for-byte the CLI's.  With
-    ``cache_root`` set, the compiled program itself is content-addressed
-    into the server's cache — the next job for the same recording skips
-    recording *and* compilation and goes straight to pricing.
-    """
-    from ..experiments.cache import SimCache
-    from ..experiments.runner import Sweeper
-
-    cache = SimCache(payload["cache_root"]) if payload.get("cache_root") \
-        else None
-    sweeper = Sweeper(scale=payload["scale"], seed=payload["seed"],
-                      backend="replay", cache=cache)
+                      backend=payload["backend"], cache=cache)
     grid = sweeper.speedup_grid(payload["app"], payload["variant"],
                                 bandwidths=payload["bandwidths"],
                                 latencies=payload["latencies"])

@@ -63,6 +63,22 @@ def test_figure3_fft_has_single_variant(capsys):
     assert "FFT optimized" not in out
 
 
+def test_figure3_prints_one_summary_keyed_on_the_rung(capsys):
+    figure3.main(["--apps", "asp", "--variant", "optimized", "--replay"])
+    out = capsys.readouterr().out
+    assert "[replay] order-stable" in out
+    assert "[replay] asp/optimized: predictions valid" in out
+    assert "[whatif]" not in out
+
+
+@pytest.mark.parametrize("module", [figure3, figure4])
+def test_backend_flags_are_mutually_exclusive(module, capsys):
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--predict", "--replay"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_figure4_main(capsys):
     figure4.main([])
     out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 """The ``replay`` job kind: admission, dedup, metrics, cache kinds.
 
 Same thread-pool harness as the scheduler tests; the grid itself runs
-the production :func:`~repro.serve.worker.run_replay_grid` in-process.
+the production :func:`~repro.serve.worker.run_grid` in-process.
 """
 
 import asyncio
