@@ -21,8 +21,11 @@ The one-off recording run is an instrumented simulation of a single
 point (~2 grid points' worth of wall clock, amortized over every grid
 the recording ever evaluates); a separate tripwire asserts the
 end-to-end predict path — recording included — still beats simulation
-comfortably.  Measured on the reference container: evaluation ~13x,
-end-to-end ~8x.
+comfortably.  Measured on a shared 2-core container (Python 3.11,
+median of five runs): evaluation ~9x, end-to-end ~5x.  That host is
+noisy — the simulation side alone varied from 4.3 s to 6.5 s — so
+the evaluation ratio can dip under the 10x floor there from host
+noise alone.
 """
 
 import time

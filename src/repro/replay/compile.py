@@ -1,24 +1,25 @@
 """Compile a recorded :class:`~repro.whatif.record.CommDag` to a max-plus
 event program.
 
-The :class:`~repro.whatif.evaluate.Evaluator` replays a DAG with plain
-float arithmetic: every timestamp is built from ``max`` (a process waits
-for a message, a message waits for a busy resource) and ``+`` (compute
-intervals, overheads, wire terms).  Crucially, each ``+`` term is an
-*affine* function of the swept WAN parameters::
+The replay walker (:func:`~repro.whatif.evaluate.walk`) builds every
+timestamp from ``max`` (a process waits for a message, a message waits
+for a busy resource) and ``+`` (compute intervals, overheads, wire
+terms).  Crucially, each ``+`` term is an *affine* function of the swept
+WAN parameters::
 
     cost(theta) = c0  +  bytes / wide_bw  +  n_hops * wide_lat
                       +  n_traversals * E_loss(theta)
 
 (local-network terms are constants of the recorded cluster shape — the
 Figure-3 grid sweeps only the WAN).  That makes one full replay a
-**(max, +) circuit** over those four coefficients.  This module runs the
-evaluator's algorithm exactly once, at the recording's reference
-parameters, with symbolic *stamps* instead of floats: a stamp is a node
-of the circuit plus an accumulated affine offset.  ``+`` extends the
-offset (free); ``max`` materializes a binary **join node** with the two
-operand stamps as dependency edges.  The result is a flat program —
-``pred_a``/``pred_b`` index arrays and per-edge coefficient rows — that
+**(max, +) circuit** over those four coefficients.  This module walks
+the DAG once, at the recording's reference parameters, in the *affine*
+stamp algebra :class:`_AffineStamps` instead of the evaluator's floats:
+a stamp is a node of the circuit plus an accumulated affine offset.
+``plus`` extends the offset (free); ``join`` materializes a binary
+**join node** with the two operand stamps as dependency edges.  The
+result is a flat program — ``pred_a``/``pred_b`` index arrays and
+per-edge coefficient rows — that
 :class:`~repro.replay.program.ReplayProgram` re-prices for an entire
 grid in one vectorized numpy pass, no per-event dispatch.
 
@@ -33,56 +34,24 @@ Pure dependency chains (receive pins, compute, spawns) carry over
 exactly: a parked-vs-delivered receive is ``max(t, delivery)`` on both
 paths, so only contention order is approximated.
 
-``compile_dag(..., adaptive=True)`` removes even that approximation's
-*representation*: queue joins are emitted chainless (no frozen
-served-order edges, which collapses the level count) and every
-contended resource's service ops are recorded as a **queue group** —
-arrival stamp plus cost row per op — so
-:class:`~repro.replay.adaptive.AdaptiveProgram` can re-sort and
-re-price the orders per grid point until they converge.  Rigid groups
-whose order is data-independent keep their chain edges and stay out of
-the iteration.
-
 Join reduction keeps the program small: a ``max`` of two stamps on the
 same node collapses when one offset dominates componentwise, and a
 ``max`` against the never-positive root stamp (an idle resource clock)
 is dropped.  What remains is one node per *genuine* synchronization.
 
-**Adaptive mode** (``compile_dag(..., adaptive=True)``) targets the
-order-unstable DAGs the frozen programs cannot price: every
-resource-booking ``max`` is materialized unconditionally and recorded in
-a per-resource **queue group** — (arrival stamp, service-cost row,
-join node) per booking, in reference service order — so
-:class:`~repro.replay.adaptive.AdaptiveProgram` can re-sort each queue
-from a previous iterate's arrival times and re-serve it per grid point,
-instead of trusting the frozen order.  Daemon handler queues become
-groups too (the block's service cost is the recv overhead plus its body
-duration); a daemon block whose body is not affine over the block start
-(a shared-CPU compute chain) marks its group *rigid* — kept frozen —
-while shared CPUs gain their own re-sortable ``cpu`` groups.  One
-deliberate approximation: a started daemon's wake-time join
-(``t = max(t, now)``) is dropped — it is subsumed by the per-block
-arrival maxes except for a LIFO pop quirk the convergence check
-arbitrates.  Adaptive programs therefore are not bit-identical to the
-frozen compile even at the anchor; the default (non-adaptive) output is
-unchanged byte for byte.
+``compile_dag(..., adaptive=True)`` walks with :class:`_QueueStamps`,
+the same algebra with queue-group service instead of frozen orders.
 """
 
 from __future__ import annotations
 
-import heapq
+import operator
 from typing import List, Optional, Tuple
 
 from ..network.topology import Topology
-from ..whatif.evaluate import Evaluator
-from ..whatif.record import (OP_COMPUTE, OP_MCAST, OP_SEND, CommDag,
-                             Recording)
-
-# Heap event kinds, mirroring the evaluator's.
-_EV_SEND = 0
-_EV_MCAST = 1
-_EV_GW = 2
-_EV_ARRIVE = 3
+from ..whatif.evaluate import (DagShape, EvaluationError, FifoService,
+                               inlined_walk, walk)
+from ..whatif.record import CommDag, Recording
 
 #: A stamp: (node, c0, c_bytes, c_lat, c_loss, ref_time).  ``node`` is a
 #: circuit node id; the c's are the affine offset on top of it; ``ref``
@@ -94,12 +63,17 @@ class CompileError(RuntimeError):
     """The DAG could not be compiled (timing-sensitive or inconsistent)."""
 
 
-class _Circuit:
-    """Append-only join-node store: parallel edge arrays."""
+class _AffineStamps:
+    """The affine stamp algebra over an append-only join-node store.
 
-    __slots__ = ("pa", "pb", "ea", "eb", "joins_reduced")
+    ``pa``/``pb``/``ea``/``eb`` are the circuit's parallel edge arrays:
+    node ``i`` is ``max(pa[i] + ea[i], pb[i] + eb[i])``.
+    """
 
-    def __init__(self) -> None:
+    zero = _ZERO
+    ref = operator.itemgetter(5)
+
+    def __init__(self, topology: Topology) -> None:
         # Node 0 is the root (time zero); give it a self-edge so the
         # arrays stay aligned with node ids.
         self.pa: List[int] = [0]
@@ -107,6 +81,8 @@ class _Circuit:
         self.ea: List[Tuple[float, float, float, float]] = [(0.0,) * 4]
         self.eb: List[Tuple[float, float, float, float]] = [(0.0,) * 4]
         self.joins_reduced = 0
+        self.ref_inv_bw = 1.0 / topology.wide.bandwidth
+        self.ref_lat = topology.wide.latency
 
     def join(self, x: tuple, y: tuple) -> tuple:
         """max(x, y) — reduced where provably one-sided, else a node."""
@@ -127,13 +103,33 @@ class _Circuit:
                 and y[4] == 0.0:
             self.joins_reduced += 1
             return x
+        return self.join_forced(x, y)
+
+    def join_forced(self, x: tuple, y: tuple) -> tuple:
+        """max(x, y) with the node always materialized."""
         nid = len(self.pa)
         self.pa.append(x[0])
         self.pb.append(y[0])
         self.ea.append((x[1], x[2], x[3], x[4]))
         self.eb.append((y[1], y[2], y[3], y[4]))
-        ref = x[5] if x[5] >= y[5] else y[5]
-        return (nid, 0.0, 0.0, 0.0, 0.0, ref)
+        return (nid, 0.0, 0.0, 0.0, 0.0, x[5] if x[5] >= y[5] else y[5])
+
+    @staticmethod
+    def plus(s: tuple, c0: float) -> tuple:
+        """Advance a stamp by a grid-constant cost."""
+        return (s[0], s[1] + c0, s[2], s[3], s[4], s[5] + c0)
+
+    def wire(self, s: tuple, size: float) -> tuple:
+        """Advance by one WAN wire transfer: size / wide_bw."""
+        return (s[0], s[1], s[2] + size, s[3], s[4],
+                s[5] + size * self.ref_inv_bw)
+
+    def prop(self, s: tuple) -> tuple:
+        """Advance by one WAN propagation: wide_lat, plus one lossable
+        data traversal (the loss model charges expected retransmission
+        delay per WAN traversal)."""
+        return (s[0], s[1], s[2], s[3] + 1.0, s[4] + 1.0,
+                s[5] + self.ref_lat)
 
 
 class _Group:
@@ -145,16 +141,9 @@ class _Group:
     materialized join node whose value is the start of service.
     ``seed`` is the resource's initial clock (the root stamp for
     hardware; a daemon's post-prologue stamp).  ``rigid`` groups keep
-    their frozen order — a daemon block's body was not affine over the
-    block start, so re-sorting could not re-price the chain.
-
-    Queue joins are emitted *chainless* (both predecessor slots point
-    at the arrival): the adaptive engine overrides the node with the
-    served start every sweep, so a frozen edge to the previous service
-    would only stretch the levelization — the intra-queue chains are
-    what make fft's frozen program 1183 levels deep.  ``chain_preds``
-    remembers each dropped resource-clock stamp so the frozen edge can
-    be patched back in if the group later turns out rigid.
+    their frozen order.  ``chain_preds`` remembers each resource-clock
+    stamp a chainless join dropped, so the frozen edge can be patched
+    back in if the group later turns out rigid.
     """
 
     __slots__ = ("kind", "ops", "rigid", "seed", "chain_preds")
@@ -167,29 +156,115 @@ class _Group:
         self.chain_preds: List[tuple] = []
 
 
-class _Proc:
-    """Mutable compile-time state of one recorded process (stamp clocks)."""
+class _QueueStamps(_AffineStamps):
+    """The affine algebra with queue-group service (``adaptive=True``).
 
-    __slots__ = ("rank", "daemon", "root", "solo_cpu", "solo_send",
-                 "started", "finished", "t", "pc", "segs", "prologue",
-                 "blocks", "ready", "nserved")
+    Targets the order-unstable DAGs the frozen programs cannot price:
+    every resource booking is materialized unconditionally and recorded
+    in a per-resource **queue group** — (arrival stamp, service-cost
+    row, join node) per booking, in reference service order — so
+    :class:`~repro.replay.adaptive.AdaptiveProgram` can re-sort each
+    queue from a previous iterate's arrival times and re-serve it per
+    grid point instead of trusting the frozen order.  Queue joins are
+    emitted *chainless* (both predecessor slots point at the arrival):
+    the adaptive engine overrides the node with the served start every
+    sweep, so a frozen edge to the previous service would only stretch
+    the levelization — the intra-queue chains are what make fft's frozen
+    program 1183 levels deep.
 
-    def __init__(self, rank, daemon, root, solo_cpu, solo_send, segs,
-                 prologue, blocks) -> None:
-        self.rank = rank
-        self.daemon = daemon
-        self.root = root
-        self.solo_cpu = solo_cpu
-        self.solo_send = solo_send
-        self.started = root
-        self.finished = False
-        self.t = _ZERO
-        self.pc = 0
-        self.segs = segs
-        self.prologue = prologue
-        self.blocks = blocks
-        self.ready: List[tuple] = []
-        self.nserved = 0
+    Daemon handler queues become groups too (a block's service cost is
+    the recv overhead plus its body duration).  A daemon block whose
+    body is not affine over the block start (a shared-CPU compute chain)
+    marks its group *rigid* — kept frozen, chain edges restored — while
+    shared CPUs gain their own re-sortable ``cpu`` groups.  One
+    deliberate approximation: a started daemon's wake-time join
+    (``t = max(t, now)``) is dropped — it is subsumed by the per-block
+    arrival maxes except for a LIFO pop quirk the convergence check
+    arbitrates.  Adaptive programs therefore are not bit-identical to
+    the frozen compile even at the anchor.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        super().__init__(topology)
+        #: queue groups keyed by resource identity, in first-use order
+        self.groups: dict = {}
+
+    def _group(self, key: tuple) -> _Group:
+        g = self.groups.get(key)
+        if g is None:
+            g = self.groups[key] = _Group(key[0])
+        return g
+
+    def join_queue(self, g: _Group, arrival: tuple, free: tuple) -> tuple:
+        """A chainless queue join: the node depends only on the arrival;
+        the reference clock still advances over the resource's ``free``
+        stamp, keeping the compile-time event order exact."""
+        nid = len(self.pa)
+        self.pa.append(arrival[0])
+        self.pb.append(arrival[0])
+        row = (arrival[1], arrival[2], arrival[3], arrival[4])
+        self.ea.append(row)
+        self.eb.append(row)
+        g.chain_preds.append((nid, free))
+        ref = arrival[5] if arrival[5] >= free[5] else free[5]
+        return (nid, 0.0, 0.0, 0.0, 0.0, ref)
+
+    def make_rigid(self, g: _Group) -> None:
+        """Freeze a group: restore the chain edges its queue joins
+        dropped (the adaptive engine will never override them)."""
+        g.rigid = True
+        for nid, free in g.chain_preds:
+            self.pb[nid] = free[0]
+            self.eb[nid] = (free[1], free[2], free[3], free[4])
+        g.chain_preds.clear()
+
+    def _book(self, key: tuple, arrival: tuple, free: tuple, row: tuple,
+              ref_cost: float) -> tuple:
+        """Record one service in its queue group and return the
+        end-of-service stamp (cost row over the join node)."""
+        g = self._group(key)
+        node = self.join_queue(g, arrival, free)
+        g.ops.append((arrival, row, node[0]))
+        return (node[0], row[0], row[1], row[2], row[3], node[5] + ref_cost)
+
+    def book(self, key: tuple, arrival: tuple, free: tuple,
+             cost: float) -> tuple:
+        return self._book(key, arrival, free, (cost, 0.0, 0.0, 0.0), cost)
+
+    def book_wire(self, key: tuple, arrival: tuple, free: tuple,
+                  size: float) -> tuple:
+        return self._book(key, arrival, free, (0.0, size, 0.0, 0.0),
+                          size * self.ref_inv_bw)
+
+    def wake(self, proc, now: tuple) -> tuple:
+        # The group is created at the first wake, before the prologue's
+        # bookings, so group order is first-use order throughout.
+        self._group(("daemon", id(proc)))
+        if proc.prologue is None:
+            return proc.t
+        if proc.root and not proc.prologue:
+            return _ZERO  # unconstrained: the first block starts at its
+            # own arrival (a root daemon with no prologue work)
+        return self.join(proc.t, now)
+
+    def serve(self, proc, at: tuple, t: tuple) -> tuple:
+        g = self.groups[("daemon", id(proc))]
+        if not g.ops:
+            g.seed = t  # the post-prologue stamp seeds the chain
+        if g.rigid:
+            return self.join_forced(at, t)
+        return self.join_queue(g, at, t)
+
+    def served(self, proc, at: tuple, start: tuple, end: tuple) -> None:
+        g = self.groups[("daemon", id(proc))]
+        if end[0] != start[0] and not g.rigid:
+            # The body joined a shared clock: its duration is not an
+            # affine offset over the block start, so this queue cannot
+            # be re-served from a cost row.  Keep the frozen order (the
+            # shared clock has its own group) and patch the chain edges
+            # back in.
+            self.make_rigid(g)
+        g.ops.append((at, (end[1], end[2], end[3], end[4]), start[0]))
 
 
 def compile_dag(dag: CommDag, topology: Optional[Topology] = None,
@@ -205,7 +280,7 @@ def compile_dag(dag: CommDag, topology: Optional[Topology] = None,
 
     With ``adaptive=True`` the result is an :class:`~repro.replay.
     adaptive.AdaptiveProgram`: resource bookings are materialized into
-    re-sortable queue groups (see the module docstring) for the
+    re-sortable queue groups (see :class:`_QueueStamps`) for the
     Gauss-Seidel re-pricing engine.  The default output is unchanged.
     """
     from .program import ReplayProgram
@@ -228,408 +303,14 @@ def compile_dag(dag: CommDag, topology: Optional[Topology] = None,
     if topology.wan_variability is not None:
         raise CompileError("cannot compile under WAN variability")
 
-    # The segment/block/pin compilation is structural (no link
-    # parameters); reuse the evaluator's rather than duplicating it.
-    shape = Evaluator(dag)
-
-    local_lat = topology.local.latency
-    local_bw = topology.local.bandwidth
-    local_send_ov = topology.local.send_overhead
-    gw_service = topology.gateway_overhead
-    ref_inv_bw = 1.0 / topology.wide.bandwidth
-    ref_lat = topology.wide.latency
-
-    (ch_src, ch_dst_cluster, ch_inter, ch_send_ov, ch_recv_ov,
-     ch_hops) = shape._channel_tables(topology)
-    n_ch = len(ch_src)
-
-    circuit = _Circuit()
-    join = circuit.join
-
-    #: adaptive-mode queue groups, keyed by resource identity; None in
-    #: the default frozen compile (all booking sites branch on this).
-    groups: Optional[dict] = {} if adaptive else None
-
-    def join_forced(x: tuple, y: tuple) -> tuple:
-        """max(x, y) with the node always materialized — group nodes
-        must exist even when a reduction would elide them, so the
-        adaptive engine has a slot to override per iteration."""
-        nid = len(circuit.pa)
-        circuit.pa.append(x[0])
-        circuit.pb.append(y[0])
-        circuit.ea.append((x[1], x[2], x[3], x[4]))
-        circuit.eb.append((y[1], y[2], y[3], y[4]))
-        return (nid, 0.0, 0.0, 0.0, 0.0, x[5] if x[5] >= y[5] else y[5])
-
-    def join_queue(g: "_Group", arrival: tuple, free: tuple) -> tuple:
-        """A chainless queue join: the emitted node depends only on the
-        arrival (both predecessor slots), so queue chains don't inflate
-        the levelization; the reference clock still advances over the
-        resource's ``free`` stamp, keeping the compile-time event order
-        exact.  The dropped chain stamp is remembered for rigid
-        patch-back."""
-        nid = len(circuit.pa)
-        circuit.pa.append(arrival[0])
-        circuit.pb.append(arrival[0])
-        row = (arrival[1], arrival[2], arrival[3], arrival[4])
-        circuit.ea.append(row)
-        circuit.eb.append(row)
-        g.chain_preds.append((nid, free))
-        ref = arrival[5] if arrival[5] >= free[5] else free[5]
-        return (nid, 0.0, 0.0, 0.0, 0.0, ref)
-
-    def make_rigid(g: "_Group") -> None:
-        """Freeze a group: restore the chain edges its queue joins
-        dropped (the adaptive engine will never override them)."""
-        g.rigid = True
-        for nid, free in g.chain_preds:
-            circuit.pb[nid] = free[0]
-            circuit.eb[nid] = (free[1], free[2], free[3], free[4])
-        g.chain_preds.clear()
-
-    def book(key: tuple, arrival: tuple, free: tuple, cost: tuple,
-             ref_cost: float) -> tuple:
-        """Adaptive booking: record one service in its queue group and
-        return the end-of-service stamp (cost row over the join node)."""
-        g = groups.get(key)
-        if g is None:
-            g = groups[key] = _Group(key[0])
-        node = join_queue(g, arrival, free)
-        g.ops.append((arrival, cost, node[0]))
-        return (node[0], cost[0], cost[1], cost[2], cost[3],
-                node[5] + ref_cost)
-
-    def plus(s: tuple, c0: float) -> tuple:
-        """Advance a stamp by a grid-constant cost."""
-        return (s[0], s[1] + c0, s[2], s[3], s[4], s[5] + c0)
-
-    def plus_wire(s: tuple, size: float) -> tuple:
-        """Advance by one WAN wire transfer: size / wide_bw."""
-        return (s[0], s[1], s[2] + size, s[3], s[4],
-                s[5] + size * ref_inv_bw)
-
-    def plus_prop(s: tuple) -> tuple:
-        """Advance by one WAN propagation: wide_lat, plus one lossable
-        data traversal (the loss model charges expected retransmission
-        delay per WAN traversal)."""
-        return (s[0], s[1], s[2], s[3] + 1.0, s[4] + 1.0, s[5] + ref_lat)
-
-    # Resource clocks are stamps; idle clocks are the root stamp, which
-    # join() elides entirely.
-    n_ranks = sum(dag.cluster_sizes)
-    n_clusters = topology.num_clusters
-    cpu_free = [_ZERO] * n_ranks
-    nic_free = [_ZERO] * n_ranks
-    gw_free = [_ZERO] * n_clusters
-    gwout_free = [_ZERO] * n_clusters
-    wan_free = {pair: _ZERO for pair in topology.wan_pairs()}
-
-    procs = [_Proc(*c) for c in shape._compiled]
-    proc_index = {id(p): i for i, p in enumerate(procs)}
-    pin_off = shape._pin_off
-    ch_next = [0] * n_ch
-    dlv_at: List[tuple] = [_ZERO] * shape._n_pins
-    pin_waiter: List = [None] * shape._n_pins
-    wan_bytes = 0.0
-    wan_traversals = 0
-    for proc in procs:
-        if proc.daemon:
-            for bi, (_cid, _k, pid, _body) in enumerate(proc.blocks):
-                pin_waiter[pid] = (proc, bi)
-
-    # Heap events: (ref_time, seq, kind, channel(s), size, hop, stamp).
-    heap: List[tuple] = []
-    seq = 0
-    runnable: List[Tuple[_Proc, tuple]] = [(p, _ZERO) for p in procs
-                                           if p.root]
-    runnable_append = runnable.append
-    pop = heapq.heappop
-    push = heapq.heappush
-
-    def deliver(cid: int, at: tuple) -> None:
-        k = ch_next[cid]
-        ch_next[cid] = k + 1
-        pid = pin_off[cid] + k
-        dlv_at[pid] = at
-        entry = pin_waiter[pid]
-        if entry is not None:
-            proc, bi = entry
-            if bi >= 0:
-                push(proc.ready, (at[5], bi, at))
-                if proc.started:
-                    runnable_append((proc, at))
-            else:
-                t = join(proc.t, at)
-                t = plus(t, ch_recv_ov[cid])
-                if not proc.solo_cpu:
-                    run_main(proc, t, True)
-                    return
-                segs = proc.segs
-                i = proc.pc
-                n = len(segs)
-                while True:
-                    fdur = segs[i][4]
-                    if fdur < 0.0:
-                        proc.pc = i
-                        run_main(proc, t, True)
-                        return
-                    t = plus(t, fdur)
-                    i += 1
-                    if i == n:
-                        proc.pc = i
-                        proc.t = t
-                        proc.finished = True
-                        return
-                    seg = segs[i]
-                    scid = seg[0]
-                    if seg[1] < ch_next[scid]:
-                        t = join(t, dlv_at[seg[2]])
-                        t = plus(t, ch_recv_ov[scid])
-                    else:
-                        proc.pc = i
-                        proc.t = t
-                        pin_waiter[seg[2]] = (proc, -1)
-                        return
-
-    def book_nic(rank: int, t: tuple, size: float) -> tuple:
-        """Reserve the sender NIC: returns the transfer-end stamp."""
-        if groups is None:
-            end = plus(join(t, nic_free[rank]), size / local_bw)
-        else:
-            end = book(("nic", rank), t, nic_free[rank],
-                       (size / local_bw, 0.0, 0.0, 0.0), size / local_bw)
-        nic_free[rank] = end
-        return end
-
-    def emit_send(t: tuple, scid: int, size: float, rank: int,
-                  solo_send: bool) -> None:
-        nonlocal seq
-        if solo_send:
-            end = book_nic(rank, t, size)
-            if ch_inter[scid]:
-                arrive = plus(end, local_lat)
-                push(heap, (arrive[5], seq, _EV_GW, scid, size, 0, arrive))
-            else:
-                deliver(scid, plus(end, local_lat))
-        else:
-            push(heap, (t[5], seq, _EV_SEND, scid, size, 0, t))
-        seq += 1
-
-    def emit_mcast(t: tuple, cids: tuple, size: float, rank: int,
-                   solo_send: bool) -> None:
-        nonlocal seq
-        if solo_send:
-            end = book_nic(rank, t, size)
-            arrive_at = plus(end, local_lat)
-            for c in cids:
-                deliver(c, arrive_at)
-        else:
-            push(heap, (t[5], seq, _EV_MCAST, cids, size, 0, t))
-        seq += 1
-
-    def run_body(proc: _Proc, t: tuple, body) -> tuple:
-        """Execute the non-receive ops of one segment/block."""
-        rank = proc.rank
-        for op in body:
-            code = op[0]
-            if code == OP_COMPUTE:
-                if proc.solo_cpu:
-                    t = plus(t, op[1])
-                elif groups is None:
-                    t = plus(join(t, cpu_free[rank]), op[1])
-                    cpu_free[rank] = t
-                else:
-                    t = book(("cpu", rank), t, cpu_free[rank],
-                             (op[1], 0.0, 0.0, 0.0), op[1])
-                    cpu_free[rank] = t
-            elif code == OP_SEND:
-                scid = op[1]
-                t = plus(t, ch_send_ov[scid])
-                emit_send(t, scid, op[2], rank, proc.solo_send)
-            elif code == OP_MCAST:
-                t = plus(t, local_send_ov)
-                emit_mcast(t, op[1], op[2], rank, proc.solo_send)
-            else:  # OP_SPAWN
-                child_idx = op[1]
-                if child_idx >= 0:
-                    child = procs[child_idx]
-                    if not child.started:
-                        child.started = True
-                        runnable_append((child, t))
-        return t
-
-    def run_main(proc: _Proc, t: tuple, skip: bool) -> None:
-        segs = proc.segs
-        i = proc.pc
-        n = len(segs)
-        while i < n:
-            cid, k, pid, body, _fdur = segs[i]
-            if skip:
-                skip = False
-            elif cid >= 0:
-                if k < ch_next[cid]:
-                    t = join(t, dlv_at[pid])
-                    t = plus(t, ch_recv_ov[cid])
-                else:
-                    proc.pc = i
-                    proc.t = t
-                    pin_waiter[pid] = (proc, -1)
-                    return
-            t = run_body(proc, t, body)
-            i += 1
-        proc.pc = i
-        proc.t = t
-        proc.finished = True
-
-    def run_daemon(proc: _Proc, now: tuple) -> None:
-        if groups is not None:
-            run_daemon_adaptive(proc, now)
-            return
-        t = join(proc.t, now)
-        ready = proc.ready
-        blocks = proc.blocks
-        body = proc.prologue
-        at: Optional[tuple] = None
-        while True:
-            if body is None:
-                if not ready:
-                    break
-                _ref, bi, at = pop(ready)
-                cid, _k, _pid, body = blocks[bi]
-                t = join(t, at)
-                t = plus(t, ch_recv_ov[cid])
-                proc.nserved += 1
-            t = run_body(proc, t, body)
-            body = None
-        proc.prologue = None
-        proc.t = t
-        if proc.nserved == len(blocks):
-            proc.finished = True
-
-    def run_daemon_adaptive(proc: _Proc, now: tuple) -> None:
-        """Daemon service as a queue group: each handler block is one
-        op whose arrival is the delivery stamp and whose cost is the
-        recv overhead plus the body duration.  The wake-time join of
-        the frozen path is dropped (see the module docstring); the
-        post-prologue stamp seeds the group's chain instead."""
-        key = ("daemon", proc_index[id(proc)])
-        g = groups.get(key)
-        if g is None:
-            g = groups[key] = _Group("daemon")
-        if proc.prologue is not None:
-            if proc.root and not proc.prologue:
-                chain = _ZERO  # unconstrained: first block starts at its
-                # own arrival (a root daemon with no prologue work)
-            else:
-                chain = run_body(proc, join(proc.t, now), proc.prologue)
-            proc.prologue = None
-            g.seed = chain
-            proc.t = chain
-        t = proc.t
-        ready = proc.ready
-        blocks = proc.blocks
-        while ready:
-            _ref, bi, at = pop(ready)
-            cid, _k, _pid, body = blocks[bi]
-            if g.rigid:
-                node = join_forced(at, t)   # start of service
-            else:
-                node = join_queue(g, at, t)
-            tt = plus((node[0], 0.0, 0.0, 0.0, 0.0, node[5]),
-                      ch_recv_ov[cid])
-            tt = run_body(proc, tt, body)
-            if tt[0] != node[0] and not g.rigid:
-                # The body joined a shared clock: its duration is not an
-                # affine offset over the block start, so this queue
-                # cannot be re-served from a cost row.  Keep the frozen
-                # order (the shared clock has its own adaptive group)
-                # and patch the chain edges back in.
-                make_rigid(g)
-            g.ops.append((at, (tt[1], tt[2], tt[3], tt[4]), node[0]))
-            t = tt
-            proc.nserved += 1
-        proc.t = t
-        if proc.nserved == len(blocks):
-            proc.finished = True
-
-    # Drain loop — identical control flow to Evaluator.evaluate.
-    while runnable or heap:
-        while runnable:
-            proc, at = runnable.pop()
-            if proc.finished:
-                continue
-            if proc.daemon:
-                if proc.ready or proc.prologue is not None:
-                    run_daemon(proc, at)
-            else:
-                run_main(proc, join(proc.t, at), False)
-        if not heap:
-            break
-        _at_ref, _s, kind, cid, size, hop_idx, stamp = pop(heap)
-        if kind == _EV_SEND:
-            end = book_nic(ch_src[cid], stamp, size)
-            if ch_inter[cid]:
-                arrive = plus(end, local_lat)
-                push(heap, (arrive[5], seq, _EV_GW, cid, size, 0, arrive))
-                seq += 1
-            else:
-                deliver(cid, plus(end, local_lat))
-        elif kind == _EV_GW:
-            hops = ch_hops[cid]
-            here, nxt = hops[hop_idx]
-            if groups is None:
-                ready_at = plus(join(stamp, gw_free[here]), gw_service)
-                gw_free[here] = ready_at
-                wend = plus_wire(join(ready_at, wan_free[(here, nxt)]), size)
-            else:
-                ready_at = book(("gw", here), stamp, gw_free[here],
-                                (gw_service, 0.0, 0.0, 0.0), gw_service)
-                gw_free[here] = ready_at
-                wend = book(("wan", here, nxt), ready_at,
-                            wan_free[(here, nxt)], (0.0, size, 0.0, 0.0),
-                            size * ref_inv_bw)
-            wan_free[(here, nxt)] = wend
-            wan_bytes += size
-            wan_traversals += 1
-            arrive = plus_prop(wend)
-            next_kind = _EV_GW if hop_idx + 1 < len(hops) else _EV_ARRIVE
-            push(heap, (arrive[5], seq, next_kind, cid, size, hop_idx + 1,
-                        arrive))
-            seq += 1
-        elif kind == _EV_ARRIVE:
-            dst_cluster = ch_dst_cluster[cid]
-            if groups is None:
-                ready_at = plus(join(stamp, gw_free[dst_cluster]), gw_service)
-                gw_free[dst_cluster] = ready_at
-                oend = plus(join(ready_at, gwout_free[dst_cluster]),
-                            size / local_bw)
-            else:
-                ready_at = book(("gw", dst_cluster), stamp,
-                                gw_free[dst_cluster],
-                                (gw_service, 0.0, 0.0, 0.0), gw_service)
-                gw_free[dst_cluster] = ready_at
-                oend = book(("gwout", dst_cluster), ready_at,
-                            gwout_free[dst_cluster],
-                            (size / local_bw, 0.0, 0.0, 0.0),
-                            size / local_bw)
-            gwout_free[dst_cluster] = oend
-            deliver(cid, plus(oend, local_lat))
-        else:  # _EV_MCAST
-            end = book_nic(ch_src[cid[0]], stamp, size)
-            arrive_at = plus(end, local_lat)
-            for c in cid:
-                deliver(c, arrive_at)
-
-    unfinished = [p for p in procs
-                  if p.started and not p.finished and not p.daemon]
-    if unfinished:
-        names = [dag.procs[procs.index(p)].name for p in unfinished[:5]]
-        raise CompileError(
-            f"compile replay stalled with {len(unfinished)} main processes "
-            f"blocked (first: {names}); the recording is inconsistent")
-    finish = [p.t for p in procs if p.root and not p.daemon]
-    if not finish:
-        raise CompileError("recording contains no main processes")
+    if adaptive:
+        ops, run = _QueueStamps(topology), walk
+    else:
+        ops, run = _AffineStamps(topology), inlined_walk(FifoService)
+    try:
+        finish, wan_bytes, wan_traversals = run(DagShape(dag), topology, ops)
+    except EvaluationError as err:
+        raise CompileError(f"compile {err}") from err
 
     meta = {
         "cluster_sizes": list(dag.cluster_sizes),
@@ -641,15 +322,15 @@ def compile_dag(dag: CommDag, topology: Optional[Topology] = None,
                        topology.local.recv_overhead],
         "wide_overheads": [topology.wide.send_overhead,
                            topology.wide.recv_overhead],
-        "gateway_overhead_s": gw_service,
+        "gateway_overhead_s": topology.gateway_overhead,
         "wan_bytes": wan_bytes,
         "wan_traversals": wan_traversals,
-        "joins_reduced": circuit.joins_reduced,
+        "joins_reduced": ops.joins_reduced,
         "num_ops": dag.num_ops,
         "num_messages": dag.num_messages,
     }
     finish_rows = [(s[0], s[1], s[2], s[3], s[4]) for s in finish]
-    if groups is not None:
+    if adaptive:
         from .adaptive import AdaptiveProgram
 
         # Rigid queues keep their frozen order by construction (their
@@ -657,18 +338,17 @@ def compile_dag(dag: CommDag, topology: Optional[Topology] = None,
         # are exact without serving (a chainless join over a root seed
         # is just the arrival), but a singleton daemon queue still
         # needs its seed constraint served in.
-        glist = [(g.kind, g.seed, g.ops) for g in groups.values()
+        groups = ops.groups.values()
+        glist = [(g.kind, g.seed, g.ops) for g in groups
                  if not g.rigid and
                  (len(g.ops) > 1 or (g.ops and g.seed is not _ZERO))]
         meta["adaptive_groups"] = len(glist)
-        meta["adaptive_group_ops"] = sum(len(ops) for _, _, ops in glist)
-        meta["adaptive_rigid_groups"] = sum(
-            1 for g in groups.values() if g.rigid)
+        meta["adaptive_group_ops"] = sum(len(g_ops) for _, _, g_ops in glist)
+        meta["adaptive_rigid_groups"] = sum(1 for g in groups if g.rigid)
         return AdaptiveProgram.from_circuit_groups(
-            circuit.pa, circuit.pb, circuit.ea, circuit.eb,
-            finish_rows, meta, glist)
+            ops.pa, ops.pb, ops.ea, ops.eb, finish_rows, meta, glist)
     return ReplayProgram.from_circuit(
-        circuit.pa, circuit.pb, circuit.ea, circuit.eb, finish_rows, meta)
+        ops.pa, ops.pb, ops.ea, ops.eb, finish_rows, meta)
 
 
 def compile_recording(recording: Recording):
